@@ -1,14 +1,10 @@
 // Global operator new/delete replacements that count heap allocations.
 //
-// Linked into every bench binary (via sp_bench_harness); the count feeds
-// PerfRun::allocs so BENCH_*.json tracks allocation-rate regressions on the
-// hot path, not just wall-clock. The counter uses a relaxed atomic — benches
+// perfbench/ links this file into its traced probe, whose allocation
+// counters (proc.allocs_run, proc.allocs_per_event) read
+// bench::allocation_count(). The counter uses a relaxed atomic — callers
 // only read totals, never order anything on it — so the hook costs one
 // uncontended RMW per allocation.
-//
-// allocation_count() lives in this TU on purpose: a bench referencing it
-// forces the linker to pull this object out of the static library, which is
-// what activates the replacement operators.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>

@@ -7,9 +7,8 @@
 #include <cstdio>
 
 #include "core/analysis.h"
-#include "core/campaign.h"
+#include "core/campaign_engine.h"
 #include "core/report.h"
-#include "core/testbed.h"
 #include "shadow/profiles.h"
 
 using namespace shadowprobe;
@@ -28,17 +27,16 @@ Signals run(const char* label, shadow::ShadowConfig shadow_config) {
   core::TestbedConfig config;
   config.topology = topo::TopologyConfig::from_env();
   config.topology.apply_scale(0.4);
-  auto bed = core::Testbed::create(config);
-  auto deployment = shadow::deploy_standard_exhibitors(*bed, shadow_config);
   core::CampaignConfig campaign_config;
   campaign_config.total_duration = 12 * kDay;
-  core::Campaign campaign(*bed, campaign_config);
-  campaign.run();
+  core::CampaignEngine engine(config, campaign_config, /*shard_count=*/1,
+                              shadow::standard_exhibitors(shadow_config));
+  core::CampaignResult campaign = engine.run();
 
   Signals signals;
-  auto ratios = core::path_ratios(campaign.ledger(), campaign.unsolicited());
+  auto ratios = core::path_ratios(campaign.ledger, campaign.unsolicited);
   signals.yandex_ratio = ratios.total(core::DecoyProtocol::kDns, "Yandex").ratio();
-  for (const auto& finding : campaign.findings()) {
+  for (const auto& finding : campaign.findings) {
     if (finding.protocol == core::DecoyProtocol::kHttp && !finding.at_destination) {
       ++signals.http_wire_located;
     }
@@ -46,7 +44,7 @@ Signals run(const char* label, shadow::ShadowConfig shadow_config) {
       ++signals.tls_dest_located;
     }
   }
-  signals.interception_rejected = campaign.screening().rejected_interception;
+  signals.interception_rejected = campaign.screening.rejected_interception;
   return signals;
 }
 

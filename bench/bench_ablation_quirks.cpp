@@ -13,9 +13,8 @@
 #include <cstdio>
 
 #include "core/analysis.h"
-#include "core/campaign.h"
+#include "core/campaign_engine.h"
 #include "core/report.h"
-#include "core/testbed.h"
 #include "shadow/profiles.h"
 
 using namespace shadowprobe;
@@ -34,17 +33,15 @@ QuirkResult run(bool refresh_on_expiry, double requery_probability) {
   config.topology.apply_scale(0.5);
   config.resolver_refresh_on_expiry = refresh_on_expiry;
   config.resolver_requery_probability = requery_probability;
-  auto bed = core::Testbed::create(config);
-  shadow::ShadowConfig shadow_config;
-  auto deployment = shadow::deploy_standard_exhibitors(*bed, shadow_config);
   core::CampaignConfig campaign_config;
   campaign_config.total_duration = 15 * kDay;
-  core::Campaign campaign(*bed, campaign_config);
-  campaign.run();
+  core::CampaignEngine engine(config, campaign_config, /*shard_count=*/1,
+                              shadow::standard_exhibitors());
+  core::CampaignResult campaign = engine.run();
 
   QuirkResult result;
   Cdf intervals;
-  for (const auto& request : campaign.unsolicited()) {
+  for (const auto& request : campaign.unsolicited) {
     if (request.decoy_protocol != core::DecoyProtocol::kDns) continue;
     if (request.request_protocol != core::RequestProtocol::kDns) continue;
     intervals.add(to_seconds(request.interval));

@@ -8,9 +8,8 @@
 #include <cstdio>
 
 #include "core/analysis.h"
-#include "core/campaign.h"
+#include "core/campaign_engine.h"
 #include "core/report.h"
-#include "core/testbed.h"
 #include "shadow/profiles.h"
 
 using namespace shadowprobe;
@@ -30,20 +29,18 @@ ScreenResult run(bool screening) {
   core::TestbedConfig config;
   config.topology = topo::TopologyConfig::from_env();
   config.topology.apply_scale(0.5);
-  auto bed = core::Testbed::create(config);
-  shadow::ShadowConfig shadow_config;
-  auto deployment = shadow::deploy_standard_exhibitors(*bed, shadow_config);
   core::CampaignConfig campaign_config;
   campaign_config.screening = screening;
   campaign_config.total_duration = 15 * kDay;
-  core::Campaign campaign(*bed, campaign_config);
-  campaign.run();
+  core::CampaignEngine engine(config, campaign_config, /*shard_count=*/1,
+                              shadow::standard_exhibitors());
+  core::CampaignResult campaign = engine.run();
 
   ScreenResult result;
-  result.usable_vps = campaign.screening().usable;
-  result.rejected = campaign.screening().candidates - campaign.screening().usable;
+  result.usable_vps = campaign.screening.usable;
+  result.rejected = campaign.screening.candidates - campaign.screening.usable;
   int short_paths = 0;
-  for (const auto& finding : campaign.findings()) {
+  for (const auto& finding : campaign.findings) {
     if (finding.protocol != core::DecoyProtocol::kDns) continue;
     ++result.dns_findings;
     if (finding.at_destination) ++result.dns_at_destination;

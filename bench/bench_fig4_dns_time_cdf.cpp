@@ -15,8 +15,8 @@ int main() {
   auto world = bench::run_standard_campaign("Figure 4: DNS decoy -> request time CDF");
 
   auto resolver_h = world.resolver_h();
-  auto cdfs = core::interval_cdf_by_resolver(world.campaign->ledger(),
-                                             world.campaign->unsolicited(), resolver_h);
+  auto cdfs = core::interval_cdf_by_resolver(world.result.ledger,
+                                             world.result.unsolicited, resolver_h);
 
   const std::vector<std::pair<const char*, double>> kPoints = {
       {"1s", 1},          {"1min", 60},        {"10min", 600},
@@ -49,7 +49,7 @@ int main() {
   // Unsolicited HTTP(S) triggered by DNS decoys arrive at least 1h later.
   SimDuration earliest_web = 0;
   bool have_web = false;
-  for (const auto& request : world.campaign->unsolicited()) {
+  for (const auto& request : world.result.unsolicited) {
     if (request.decoy_protocol != core::DecoyProtocol::kDns) continue;
     if (request.request_protocol == core::RequestProtocol::kDns) continue;
     if (!have_web || request.interval < earliest_web) {
@@ -63,8 +63,8 @@ int main() {
   // The other 15 resolvers: nearly all requests inside a minute.
   Cdf others;
   std::set<std::string> top(resolver_h.begin(), resolver_h.end());
-  for (const auto& request : world.campaign->unsolicited()) {
-    const auto& path = world.campaign->ledger().path(request.path_id);
+  for (const auto& request : world.result.unsolicited) {
+    const auto& path = world.result.ledger.path(request.path_id);
     if (path.protocol != core::DecoyProtocol::kDns) continue;
     if (path.dest_kind != core::DestKind::kPublicResolver) continue;
     if (top.count(path.dest_name) > 0) continue;

@@ -15,8 +15,8 @@ using namespace shadowprobe;
 int main() {
   auto world = bench::run_standard_campaign("Figure 5: decoy outcome breakdown");
 
-  auto combos = core::protocol_combos(world.campaign->ledger(),
-                                      world.campaign->unsolicited());
+  auto combos = core::protocol_combos(world.result.ledger,
+                                      world.result.unsolicited);
   core::TextTable table({"destination", "none", "DNS-DNS <1h", "DNS-DNS >1h",
                          "DNS-HTTP(S) <1d", "DNS-HTTP(S) >1d", "decoys"});
   // Resolver_h first, then the busiest of the rest.
@@ -43,8 +43,8 @@ int main() {
   };
   bench::paper_line("Yandex decoys ending in HTTP(S) probes", "~51%",
                     core::percent(web_share("Yandex")));
-  auto cn_combos = core::protocol_combos(world.campaign->ledger(),
-                                         world.campaign->unsolicited(), {"CN"});
+  auto cn_combos = core::protocol_combos(world.result.ledger,
+                                         world.result.unsolicited, {"CN"});
   double cn_114 = cn_combos.shares["114DNS"][core::DecoyOutcome::kWebWithinDay] +
                   cn_combos.shares["114DNS"][core::DecoyOutcome::kWebAfterDays];
   bench::paper_line("114DNS decoys ending in HTTP(S) probes (CN VPs)", "~50%",

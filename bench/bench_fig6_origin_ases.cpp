@@ -15,9 +15,9 @@ int main() {
   auto world = bench::run_standard_campaign("Figure 6: origin ASes of unsolicited requests");
 
   auto resolver_h = world.resolver_h();
-  auto origins = core::origin_ases(world.campaign->ledger(), world.campaign->unsolicited(),
-                                   resolver_h, world.bed->topology().geo(),
-                                   world.bed->blocklist());
+  auto origins = core::origin_ases(world.result.ledger, world.result.unsolicited,
+                                   resolver_h, world.bed().topology().geo(),
+                                   world.bed().blocklist());
   for (const auto& name : resolver_h) {
     auto it = origins.per_resolver.find(name);
     if (it == origins.per_resolver.end()) continue;

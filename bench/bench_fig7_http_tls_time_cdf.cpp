@@ -14,7 +14,7 @@ using namespace shadowprobe;
 int main() {
   auto world = bench::run_standard_campaign("Figure 7: HTTP/TLS decoy -> request time CDF");
 
-  auto by_protocol = core::interval_cdf_by_protocol(world.campaign->unsolicited());
+  auto by_protocol = core::interval_cdf_by_protocol(world.result.unsolicited);
   const std::vector<std::pair<const char*, double>> kPoints = {
       {"1min", 60},   {"10min", 600},      {"1h", 3600},         {"6h", 6 * 3600.0},
       {"1d", 86400},  {"3d", 3 * 86400.0}, {"10d", 10 * 86400.0},
@@ -34,7 +34,7 @@ int main() {
 
   // Comparison against DNS-decoy retention (Figure 4 counterpart).
   Cdf dns;
-  for (const auto& request : world.campaign->unsolicited()) {
+  for (const auto& request : world.result.unsolicited) {
     if (request.decoy_protocol == core::DecoyProtocol::kDns) {
       dns.add(to_seconds(request.interval));
     }

@@ -14,9 +14,8 @@
 #include <cstdio>
 
 #include "core/analysis.h"
-#include "core/campaign.h"
+#include "core/campaign_engine.h"
 #include "core/report.h"
-#include "core/testbed.h"
 #include "shadow/profiles.h"
 
 using namespace shadowprobe;
@@ -38,21 +37,19 @@ MitigationResult run(const char* label, core::DnsDecoyTransport transport, bool 
   core::TestbedConfig config;
   config.topology = topo::TopologyConfig::from_env();
   config.topology.apply_scale(0.5);
-  auto bed = core::Testbed::create(config);
-  shadow::ShadowConfig shadow_config;
-  auto deployment = shadow::deploy_standard_exhibitors(*bed, shadow_config);
-
   core::CampaignConfig campaign_config;
   campaign_config.total_duration = 20 * kDay;
   campaign_config.dns_transport = transport;
   campaign_config.tls_decoys_use_ech = ech;
-  core::Campaign campaign(*bed, campaign_config);
-  campaign.run();
+  const shadow::ShadowDeployment* deployment = nullptr;
+  core::CampaignEngine engine(config, campaign_config, /*shard_count=*/1,
+                              shadow::standard_exhibitors({}, &deployment));
+  core::CampaignResult campaign = engine.run();
 
   MitigationResult result;
-  auto ratios = core::path_ratios(campaign.ledger(), campaign.unsolicited());
+  auto ratios = core::path_ratios(campaign.ledger, campaign.unsolicited);
   result.yandex_dns_ratio = ratios.total(core::DecoyProtocol::kDns, "Yandex").ratio();
-  for (const auto& finding : campaign.findings()) {
+  for (const auto& finding : campaign.findings) {
     if (finding.protocol == core::DecoyProtocol::kDns && !finding.at_destination) {
       ++result.wire_dns_located;
     }
@@ -64,16 +61,16 @@ MitigationResult run(const char* label, core::DnsDecoyTransport transport, bool 
       }
     }
   }
-  for (const auto& request : campaign.unsolicited()) {
+  for (const auto& request : campaign.unsolicited) {
     if (request.request_protocol == core::RequestProtocol::kHttps) ++result.https_hits;
   }
   // Ground-truth peek (mitigation efficacy, not pipeline output): what did
   // the destination-side DNS shadowers record as the querying client?
   std::set<net::Ipv4Addr> vp_addrs;
-  for (const auto* vp : campaign.active_vps()) vp_addrs.insert(vp->addr);
+  for (const auto* vp : campaign.active_vps) vp_addrs.insert(vp->addr);
   std::uint64_t exposed = 0;
   std::uint64_t total = 0;
-  for (const auto& exhibitor : deployment.exhibitors) {
+  for (const auto& exhibitor : deployment->exhibitors) {
     if (exhibitor.label.rfind("resolver:", 0) != 0) continue;
     const auto& store = exhibitor.exhibitor->store();
     for (std::size_t i = 0; i < store.size(); ++i) {
@@ -82,7 +79,7 @@ MitigationResult run(const char* label, core::DnsDecoyTransport transport, bool 
     }
   }
   result.client_exposed = total == 0 ? 0.0 : static_cast<double>(exposed) / total;
-  std::printf("   done: %zu unsolicited requests\n\n", campaign.unsolicited().size());
+  std::printf("   done: %zu unsolicited requests\n\n", campaign.unsolicited.size());
   return result;
 }
 

@@ -21,7 +21,7 @@ int main() {
   auto world = bench::run_standard_campaign("Section 5.1: retention and multi-use");
 
   auto resolver_h = world.resolver_h();
-  auto stats = core::retention_stats(world.campaign->ledger(), world.campaign->unsolicited(),
+  auto stats = core::retention_stats(world.result.ledger, world.result.unsolicited,
                                      resolver_h, "Yandex");
   bench::paper_line("decoys with >3 unsolicited requests after 1h", "51%",
                     core::percent(stats.over3_after_1h));
@@ -36,8 +36,8 @@ int main() {
   // reuse metric: only unsolicited *DNS* queries count (HTTP/HTTPS probes
   // feed the web_after_10d metric instead).
   std::map<std::uint32_t, int> per_decoy;
-  for (const auto& request : world.campaign->unsolicited()) {
-    const auto* record = world.campaign->ledger().by_seq(request.seq);
+  for (const auto& request : world.result.unsolicited) {
+    const auto* record = world.result.ledger.by_seq(request.seq);
     if (record == nullptr || record->phase2) continue;
     if (record->id.protocol != core::DecoyProtocol::kDns) continue;
     if (request.request_protocol != core::RequestProtocol::kDns) continue;

@@ -16,18 +16,23 @@ int main() {
   auto world = bench::run_standard_campaign("Section 5.2: observer open ports");
 
   std::set<net::Ipv4Addr> observers;
-  for (const auto& finding : world.campaign->findings()) {
+  for (const auto& finding : world.result.findings) {
     if (finding.observer_addr) observers.insert(*finding.observer_addr);
   }
   std::printf("scanning %zu ICMP-revealed observer addresses, %zu ports each...\n\n",
               observers.size(), core::PortScanner::default_ports().size());
 
-  core::PortScanner scanner(world.bed->fork_rng("bench-portscan"));
-  sim::NodeId node = world.bed->add_host_in_as(21859, "bench-scanner", &scanner);
-  scanner.bind(world.bed->net(), node, world.bed->net().address(node));
+  // The engine's testbed is frozen and admits no new hosts, so the scan runs
+  // on a fresh testbed built from the same config: the deployment places the
+  // routers' open ports from the seed, so the scan sees the same ports.
+  auto bed = core::Testbed::create(world.config);
+  auto deployment = shadow::deploy_standard_exhibitors(*bed, shadow::ShadowConfig{});
+  core::PortScanner scanner(bed->fork_rng("bench-portscan"));
+  sim::NodeId node = bed->add_host_in_as(21859, "bench-scanner", &scanner);
+  scanner.bind(bed->net(), node, bed->net().address(node));
   scanner.scan(std::vector<net::Ipv4Addr>(observers.begin(), observers.end()),
                core::PortScanner::default_ports());
-  world.bed->loop().run_until(world.bed->loop().now() + kMinute);
+  bed->loop().run_until(bed->loop().now() + kMinute);
 
   auto summary = scanner.summarize();
   core::TextTable table({"open port", "observers"});

@@ -16,8 +16,8 @@ using namespace shadowprobe;
 int main() {
   auto world = bench::run_standard_campaign("Section 5: probing incentives & reputation");
 
-  auto stats = core::incentive_stats(world.campaign->unsolicited(), world.bed->signatures(),
-                                     world.bed->blocklist());
+  auto stats = core::incentive_stats(world.result.unsolicited, world.bed().signatures(),
+                                     world.bed().blocklist());
   std::printf("payload classes over %d unsolicited HTTP requests:\n", stats.http_requests);
   core::TextTable table({"class", "share"});
   for (const auto& [cls, share] : stats.payload_shares) {

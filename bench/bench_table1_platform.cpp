@@ -12,7 +12,7 @@ using namespace shadowprobe;
 int main() {
   auto world = bench::run_standard_campaign("Table 1: VPN measurement platform");
 
-  auto rows = core::summarize_platform(world.campaign->active_vps());
+  auto rows = core::summarize_platform(world.result.active_vps);
   core::TextTable table({"group", "providers", "IPs", "ASes", "countries/provinces"});
   for (const auto& row : rows) {
     table.add_row({row.group, std::to_string(row.providers), std::to_string(row.ips),
@@ -29,7 +29,7 @@ int main() {
                         std::to_string(rows[1].providers));
   bench::paper_line("CN provinces covered", "30 of 31", std::to_string(rows[1].regions));
 
-  const auto& screening = world.campaign->screening();
+  const auto& screening = world.result.screening;
   std::printf("\nscreening (Appendix C/E): %d candidates -> %d usable "
               "(%d residential, %d TTL-mangling, %d DNS-intercepted removed)\n",
               screening.candidates, screening.usable, screening.rejected_residential,

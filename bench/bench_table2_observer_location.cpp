@@ -14,7 +14,7 @@ using namespace shadowprobe;
 int main() {
   auto world = bench::run_standard_campaign("Table 2: normalized observer location");
 
-  auto locations = core::observer_locations(world.campaign->findings());
+  auto locations = core::observer_locations(world.result.findings);
   core::TextTable table({"hops from VP", "1", "2", "3", "4", "5", "6", "7", "8", "9",
                          "10 (dest)"});
   for (core::DecoyProtocol protocol :

@@ -14,7 +14,7 @@ using namespace shadowprobe;
 int main() {
   auto world = bench::run_standard_campaign("Table 3: top observer ASes");
 
-  auto table = core::observer_ases(world.campaign->findings(), world.bed->topology().geo());
+  auto table = core::observer_ases(world.result.findings, world.bed().topology().geo());
   for (core::DecoyProtocol protocol :
        {core::DecoyProtocol::kDns, core::DecoyProtocol::kHttp, core::DecoyProtocol::kTls}) {
     std::printf("%s decoys:\n", core::decoy_protocol_name(protocol).c_str());

@@ -14,7 +14,7 @@ int main() {
   auto world = bench::run_standard_campaign("Table 4: DNS destination servers");
 
   core::TextTable table({"type", "name", "IP", "AS", "decoys answered"});
-  const auto& ledger = world.campaign->ledger();
+  const auto& ledger = world.result.ledger;
   // Decoys answered: how many Phase-I DNS decoys to this destination got a
   // response back at the VP (reachability evidence).
   std::map<std::string, std::pair<int, int>> answered;  // name -> (responded, sent)
@@ -34,7 +34,7 @@ int main() {
     }
     return "?";
   };
-  for (const auto& target : world.bed->topology().dns_target_hosts()) {
+  for (const auto& target : world.bed().topology().dns_target_hosts()) {
     auto cell = answered[target.info.name];
     table.add_row({kind_name(target.info.kind), target.info.name, target.addr.str(),
                    "AS" + std::to_string(target.asn),
@@ -45,7 +45,7 @@ int main() {
   int resolvers = 0;
   int roots = 0;
   int tlds = 0;
-  for (const auto& target : world.bed->topology().dns_target_hosts()) {
+  for (const auto& target : world.bed().topology().dns_target_hosts()) {
     switch (target.info.kind) {
       case topo::DnsTargetKind::kPublicResolver: ++resolvers; break;
       case topo::DnsTargetKind::kRoot: ++roots; break;

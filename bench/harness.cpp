@@ -1,36 +1,28 @@
 #include "harness.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
 
 namespace shadowprobe::bench {
 
 BenchWorld run_standard_campaign(const std::string& bench_name) {
-  core::TestbedConfig config;
-  config.topology = topo::TopologyConfig::from_env();
+  BenchWorld world;
+  world.config.topology = topo::TopologyConfig::from_env();
+  const topo::TopologyConfig& topology = world.config.topology;
   std::printf("== %s ==\n", bench_name.c_str());
   std::printf("substrate: %d global VPs + %d CN VPs, %d web sites, seed %llu\n",
-              config.topology.global_vps, config.topology.cn_vps, config.topology.web_sites,
-              static_cast<unsigned long long>(config.topology.seed));
+              topology.global_vps, topology.cn_vps, topology.web_sites,
+              static_cast<unsigned long long>(topology.seed));
 
-  BenchWorld world;
-  world.bed = core::Testbed::create(config);
-  shadow::ShadowConfig shadow_config;
-  world.deployment = std::make_unique<shadow::ShadowDeployment>(
-      shadow::deploy_standard_exhibitors(*world.bed, shadow_config));
   core::CampaignConfig campaign_config;
   campaign_config.total_duration = 25 * kDay;
-  world.campaign = std::make_unique<core::Campaign>(*world.bed, campaign_config);
-  world.campaign->run();
+  world.engine = std::make_unique<core::CampaignEngine>(
+      world.config, campaign_config, /*shard_count=*/1, shadow::standard_exhibitors());
+  world.result = world.engine->run();
   std::printf("campaign: %zu decoys, %zu honeypot hits, %zu unsolicited requests, "
               "%d usable VPs\n\n",
-              world.campaign->ledger().decoy_count(), world.bed->logbook().size(),
-              world.campaign->unsolicited().size(), world.campaign->screening().usable);
+              world.result.ledger.decoy_count(), world.result.hits.size(),
+              world.result.unsolicited.size(), world.result.screening.usable);
   return world;
 }
 
@@ -38,49 +30,6 @@ void paper_line(const std::string& what, const std::string& paper,
                 const std::string& measured) {
   std::printf("  %-52s paper: %-14s measured: %s\n", what.c_str(), paper.c_str(),
               measured.c_str());
-}
-
-long peak_rss_kb() noexcept {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-#if defined(__APPLE__)
-  return static_cast<long>(usage.ru_maxrss / 1024);  // macOS reports bytes
-#else
-  return static_cast<long>(usage.ru_maxrss);  // Linux reports KiB
-#endif
-#else
-  return 0;
-#endif
-}
-
-void PerfReport::write() const {
-  const char* dir = std::getenv("SHADOWPROBE_BENCH_DIR");
-  std::string path = std::string(dir != nullptr && *dir != '\0' ? dir : ".") +
-                     "/BENCH_" + topic_ + ".json";
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "perf: cannot open %s for writing\n", path.c_str());
-    return;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"%s\",\n  \"schema\": 1,\n", topic_.c_str());
-  if (!context_.empty()) {
-    std::fprintf(out, "  \"context\": \"%s\",\n", context_.c_str());
-  }
-  std::fprintf(out, "  \"runs\": [\n");
-  for (std::size_t i = 0; i < runs_.size(); ++i) {
-    const PerfRun& run = runs_[i];
-    std::fprintf(out,
-                 "    {\"config\": \"%s\", \"wall_ms\": %.3f, "
-                 "\"setup_ms\": %.3f, \"events_per_sec\": %.1f, "
-                 "\"peak_rss_kb\": %ld, \"allocs\": %llu}%s\n",
-                 run.config.c_str(), run.wall_ms, run.setup_ms, run.events_per_sec,
-                 run.peak_rss_kb, static_cast<unsigned long long>(run.allocs),
-                 i + 1 < runs_.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("perf: wrote %s (%zu runs)\n", path.c_str(), runs_.size());
 }
 
 }  // namespace shadowprobe::bench

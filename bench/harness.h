@@ -1,32 +1,32 @@
 // Shared harness for the per-table/figure reproduction benches.
 //
 // Every bench binary runs the same pipeline — build the substrate, deploy
-// the ground-truth exhibitors, run the two-phase campaign — then prints its
-// table or figure next to the paper's reference values. Scale and seed come
-// from SHADOWPROBE_SCALE / SHADOWPROBE_SEED (see README).
+// the ground-truth exhibitors, run the two-phase campaign on a one-shard
+// CampaignEngine — then prints its table or figure next to the paper's
+// reference values. Scale and seed come from SHADOWPROBE_SCALE /
+// SHADOWPROBE_SEED (see README).
 #pragma once
 
-#include <chrono>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/analysis.h"
-#include "core/campaign.h"
+#include "core/campaign_engine.h"
 #include "core/report.h"
-#include "core/testbed.h"
 #include "shadow/profiles.h"
 
 namespace shadowprobe::bench {
 
 struct BenchWorld {
-  std::unique_ptr<core::Testbed> bed;
-  std::unique_ptr<shadow::ShadowDeployment> deployment;
-  std::unique_ptr<core::Campaign> campaign;
+  core::TestbedConfig config;
+  std::unique_ptr<core::CampaignEngine> engine;
+  core::CampaignResult result;
 
+  /// The testbed the campaign ran on (geo database, blocklist, signatures).
+  [[nodiscard]] core::Testbed& bed() const { return engine->primary(); }
   [[nodiscard]] core::PathRatioTable ratios() const {
-    return core::path_ratios(campaign->ledger(), campaign->unsolicited());
+    return core::path_ratios(result.ledger, result.unsolicited);
   }
   /// Resolver_h as the pipeline derives it (top-5 by problematic ratio).
   [[nodiscard]] std::vector<std::string> resolver_h() const {
@@ -40,70 +40,5 @@ BenchWorld run_standard_campaign(const std::string& bench_name);
 /// Prints a "paper vs measured" line in a uniform format.
 void paper_line(const std::string& what, const std::string& paper,
                 const std::string& measured);
-
-// ---------------------------------------------------------------------------
-// Machine-readable perf reporting (ROADMAP item 5: BENCH_<topic>.json).
-//
-// A bench builds a PerfReport, adds one PerfRun per measured configuration,
-// and calls write(): the report lands as BENCH_<topic>.json in
-// SHADOWPROBE_BENCH_DIR (default: the current directory). CI uploads the
-// files as artifacts and tools/bench_diff compares them across commits.
-
-struct PerfRun {
-  std::string config;           ///< e.g. "shards=4" — the knob under test
-  double wall_ms = 0.0;         ///< wall-clock for the measured region
-  double setup_ms = 0.0;        ///< substrate/engine construction time
-  double events_per_sec = 0.0;  ///< simulator events (or records) per second
-  long peak_rss_kb = 0;         ///< getrusage high-water mark at sample time
-  std::uint64_t allocs = 0;     ///< operator-new calls inside the region
-};
-
-class PerfReport {
- public:
-  explicit PerfReport(std::string topic) : topic_(std::move(topic)) {}
-
-  /// Free-form run context ("scale=1,seed=20240301") recorded in the file so
-  /// bench_diff never compares runs of different sizes silently.
-  void set_context(std::string context) { context_ = std::move(context); }
-
-  void add(PerfRun run) { runs_.push_back(std::move(run)); }
-
-  /// Serialises the report to BENCH_<topic>.json and prints the path.
-  /// Key order and number formatting are fixed so diffs are stable.
-  void write() const;
-
-  [[nodiscard]] const std::vector<PerfRun>& runs() const noexcept { return runs_; }
-
- private:
-  std::string topic_;
-  std::string context_;
-  std::vector<PerfRun> runs_;
-};
-
-/// Process-wide count of global operator-new calls. Defined in
-/// alloc_hook.cpp, whose replacement operators are linked into every bench
-/// binary via this symbol. Monotonic — diff across a region to attribute
-/// allocations to it.
-[[nodiscard]] std::uint64_t allocation_count() noexcept;
-
-/// Peak resident set size of the process in KiB (ru_maxrss; 0 if the
-/// platform has no getrusage).
-[[nodiscard]] long peak_rss_kb() noexcept;
-
-/// Steady-clock stopwatch for PerfRun::wall_ms.
-class WallTimer {
- public:
-  WallTimer() : start_(std::chrono::steady_clock::now()) {}
-  void restart() { start_ = std::chrono::steady_clock::now(); }
-  [[nodiscard]] double ms() const {
-    return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                     start_)
-        .count();
-  }
-  [[nodiscard]] double seconds() const { return ms() / 1000.0; }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
 
 }  // namespace shadowprobe::bench

@@ -13,8 +13,7 @@
 #include <cstdio>
 
 #include "core/analysis.h"
-#include "core/campaign.h"
-#include "core/testbed.h"
+#include "core/campaign_engine.h"
 #include "shadow/profiles.h"
 
 using namespace shadowprobe;
@@ -34,33 +33,34 @@ RunResult run(bool screening_enabled) {
   config.topology.global_vps = 24;
   config.topology.cn_vps = 48;  // interceptors live in CN provinces
   config.topology.web_sites = 8;
-  auto bed = core::Testbed::create(config);
-
   shadow::ShadowConfig shadow_config;
   shadow_config.fleet_size = 2;
-  auto deployment = shadow::deploy_standard_exhibitors(*bed, shadow_config);
-  std::printf("  %zu interception middleboxes deployed\n", deployment.interceptors.size());
+  // The middleboxes that count are the ones on the testbed the campaign
+  // runs on.
+  const shadow::ShadowDeployment* deployment = nullptr;
 
   core::CampaignConfig campaign_config;
   campaign_config.screening = screening_enabled;
   campaign_config.phase1_window = 4 * kHour;
   campaign_config.phase2_grace = 12 * kHour;
   campaign_config.total_duration = 6 * kDay;
-  core::Campaign campaign(*bed, campaign_config);
-  campaign.run();
+  core::CampaignEngine engine(config, campaign_config, /*shard_count=*/1,
+                              shadow::standard_exhibitors(shadow_config, &deployment));
+  std::printf("  %zu interception middleboxes deployed\n", deployment->interceptors.size());
+  core::CampaignResult campaign = engine.run();
 
   std::uint64_t intercepted_queries = 0;
-  for (const auto& interceptor : deployment.interceptors) {
+  for (const auto& interceptor : deployment->interceptors) {
     intercepted_queries += interceptor->intercepted();
   }
   std::printf("  middleboxes intercepted %llu queries during the campaign\n",
               static_cast<unsigned long long>(intercepted_queries));
 
   RunResult result;
-  result.usable_vps = campaign.screening().usable;
-  result.rejected_interception = campaign.screening().rejected_interception;
-  result.unsolicited = campaign.unsolicited().size();
-  result.located = campaign.findings().size();
+  result.usable_vps = campaign.screening.usable;
+  result.rejected_interception = campaign.screening.rejected_interception;
+  result.unsolicited = campaign.unsolicited.size();
+  result.located = campaign.findings.size();
   return result;
 }
 

@@ -18,7 +18,8 @@
 #include <vector>
 
 #include "common/stats.h"
-#include "core/campaign.h"
+#include "core/campaign_result.h"
+#include "core/testbed.h"
 #include "intel/blocklist.h"
 #include "intel/geoip.h"
 #include "intel/signatures.h"

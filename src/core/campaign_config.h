@@ -1,5 +1,5 @@
-// Campaign configuration and screening summary, shared by the serial
-// Campaign, the CampaignPlan, and the sharded CampaignEngine.
+// Campaign configuration and screening summary, shared by the CampaignPlan,
+// the CampaignEngine, and its shard runners.
 #pragma once
 
 #include <cstdint>

@@ -142,8 +142,8 @@ CampaignResult CampaignEngine::run() {
   if (config_.screening) {
     ShardScreening screening = backend_->run_screening(vps.size());
     report.candidates = static_cast<int>(vps.size());
-    // Verdicts arrive merged in global topology order — the order the serial
-    // campaign iterates.
+    // Verdicts arrive merged in global topology order, whatever shard
+    // screened each VP.
     for (std::size_t i = 0; i < vps.size(); ++i) {
       switch (screening.verdicts[i]) {
         case ScreeningVerdict::kResidential:

@@ -13,8 +13,7 @@
 //                            hits, classify, extend the plan with TTL sweeps
 //   Phase II (backend)    -> run to the campaign horizon
 //   merge (serial)        -> one ledger / hit list / hop log, correlated
-//                            into a CampaignResult identical in shape to a
-//                            serial run's
+//                            into one CampaignResult
 //
 // Determinism: for a fixed master seed the merged result is byte-identical
 // for any shard count (including N=1) AND any backend — in-process threads

@@ -1,11 +1,10 @@
 // CampaignResult: the merged, analysis-ready outcome of a campaign.
 //
-// Both execution paths produce one of these — the serial Campaign via
-// Campaign::result(), the sharded CampaignEngine by merging per-shard
-// ledgers, logbooks, and hop logs — so every downstream consumer
-// (Correlator, ObserverLocator, the analyzers, JSON export, the CLI report
-// printers) is written once against this struct and never needs to know how
-// the campaign was executed.
+// CampaignEngine produces one of these by merging per-shard ledgers,
+// logbooks, and hop logs, so every downstream consumer (Correlator,
+// ObserverLocator, the analyzers, JSON export, the CLI report printers) is
+// written once against this struct and never needs to know how many shards
+// or which backend executed the campaign.
 #pragma once
 
 #include <algorithm>

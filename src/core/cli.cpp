@@ -224,11 +224,6 @@ Result<CliOptions> parse_cli_options(const std::vector<std::string>& args,
     }
   }
 
-  // A fault profile runs on the engine (the serial Campaign has no fault
-  // layer); an unsharded invocation gets a single-shard engine. Worker
-  // processes likewise imply the engine.
-  if (options.faults.enabled() && options.shards == 0) options.shards = 1;
-  if (options.shard_procs >= 1 && options.shards == 0) options.shards = 1;
   // More workers than shards would leave the surplus idle at best (and shard
   // ownership assumes proc_count <= shard_count); clamp like the engine
   // clamps an oversized shard count.

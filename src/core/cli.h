@@ -20,7 +20,7 @@ struct CliOptions {
   double scale = 1.0;
   std::uint64_t seed = 20240301;
   int days = 25;
-  int shards = 0;       // 0 = serial Campaign, >= 1 = CampaignEngine
+  int shards = 1;       // CampaignEngine shard count (>= 1)
   int shard_procs = 0;  // 0 = in-process threads, >= 1 = worker processes
   /// Respawn budget per lost worker slot before degrading to in-process
   /// execution (multi-process backend only). 0 = degrade on first loss.

@@ -323,8 +323,4 @@ std::string export_campaign_json(Testbed& bed, const CampaignResult& result,
   return export_campaign_json(bed, result, analyze_campaign(bed, result, workers));
 }
 
-std::string export_campaign_json(Testbed& bed, const Campaign& campaign) {
-  return export_campaign_json(bed, campaign.result(), 1);
-}
-
 }  // namespace shadowprobe::core

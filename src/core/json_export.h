@@ -59,7 +59,4 @@ std::string export_campaign_json(Testbed& bed, const CampaignResult& result,
 std::string export_campaign_json(Testbed& bed, const CampaignResult& result,
                                  int workers = 1);
 
-/// Convenience overload for the serial campaign.
-std::string export_campaign_json(Testbed& bed, const Campaign& campaign);
-
 }  // namespace shadowprobe::core

@@ -1,6 +1,6 @@
-// VP screening primitives (Appendices C and E), shared by the serial
-// Campaign and the per-shard runners: each shard screens only the VPs it
-// owns, but the probe set and the verdict logic must be identical.
+// VP screening primitives (Appendices C and E), used by the per-shard
+// runners: each shard screens only the VPs it owns, but the probe set and
+// the verdict logic must be identical across shards.
 #pragma once
 
 #include "core/vp_agent.h"

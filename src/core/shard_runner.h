@@ -72,8 +72,8 @@ class ShardRunner {
   //    this shard's replica) ---------------------------------------------
 
   /// Emits screening probes for the owned, non-residential VPs and lets
-  /// them settle (advances the shard clock by one hour, like the serial
-  /// campaign does).
+  /// them settle (advances the shard clock by one hour, so Phase I starts
+  /// at the same time on every shard).
   void run_screening();
   /// Seeds the shard ledger with the plan's path table (rebound to this
   /// replica's VP storage).

@@ -9,8 +9,8 @@
 //
 // Two construction modes (see core/world.h and DESIGN.md):
 //   - Testbed::create builds everything from scratch in *authoring* mode:
-//     it owns a mutable topology/layout/blocklist. The serial Campaign and
-//     most tests use this.
+//     it owns a mutable topology/layout/blocklist. World::build authors its
+//     prototype this way, and most unit tests use it directly.
 //   - Testbed::instantiate(world) builds a *frozen* per-shard instance over
 //     a shared const World: topology, network layout, signatures, blocklist
 //     and zone data are aliased read-only; only the live state (event loop,

@@ -277,6 +277,8 @@ void RecursiveResolver::maybe_schedule_requeries(const Task& task) {
       dup.sport = next_sport_++;
       // Cap attempts at one: fire-and-forget verification.
       dup.attempts = quirks_.upstream_attempts;
+      std::uint64_t token = next_token_++;
+      dup.timeout_token = token;
       tasks_[qid] = std::move(dup);
       net::DnsMessage query = net::DnsMessage::query(qid, question.name, question.type);
       query.header.rd = false;
@@ -284,8 +286,14 @@ void RecursiveResolver::maybe_schedule_requeries(const Task& task) {
       Bytes wire = query.encode();
       sim::send_udp(*net_, node_, egress_, server, tasks_[qid].sport, 53, BytesView(wire));
       // The response (if any) completes the task; otherwise reap it so the
-      // qid space never leaks.
-      net_->loop().schedule(quirks_.upstream_timeout, [this, qid] { tasks_.erase(qid); });
+      // qid space never leaks. The token keeps the reaper off a later task
+      // that reused the qid.
+      net_->loop().schedule(quirks_.upstream_timeout, [this, qid, token] {
+        auto reaped = tasks_.find(qid);
+        if (reaped != tasks_.end() && reaped->second.timeout_token == token) {
+          tasks_.erase(reaped);
+        }
+      });
     });
   }
 }

@@ -78,7 +78,8 @@ void ProberHost::resolve(const net::DnsName& domain, net::Ipv4Addr resolver,
   do {
     qid = static_cast<std::uint16_t>(qid_rng_.bits());
   } while (lookups_.contains(qid));
-  PendingLookup lookup{domain, purpose, path_count, /*iterative=*/false, 0};
+  std::uint64_t token = next_lookup_token_++;
+  PendingLookup lookup{domain, purpose, path_count, /*iterative=*/false, 0, token};
   net::Ipv4Addr server = resolver;
   // Behaviour keyed by (domain, occurrence): whether this probe walks the
   // tree itself is a property of the probe, not of the prober's history.
@@ -94,8 +95,13 @@ void ProberHost::resolve(const net::DnsName& domain, net::Ipv4Addr resolver,
   bool recursive = !lookup.iterative;
   lookups_[qid] = std::move(lookup);
   send_query(qid, domain, server, recursive);
-  // Reap abandoned lookups (unreachable server, SERVFAIL never sent).
-  net_->loop().schedule(30 * kSecond, [this, qid] { lookups_.erase(qid); });
+  // Reap abandoned lookups (unreachable server, SERVFAIL never sent). An
+  // answered lookup frees its qid at once, so by now the qid may name a
+  // later lookup; the token leaves that one alone.
+  net_->loop().schedule(30 * kSecond, [this, qid, token] {
+    const PendingLookup* pending = lookups_.find(qid);
+    if (pending != nullptr && pending->token == token) lookups_.erase(qid);
+  });
 }
 
 void ProberHost::on_datagram(sim::Network& net, sim::NodeId self,

@@ -69,6 +69,9 @@ class ProberHost : public sim::DatagramHandler {
     int path_count = 0;
     bool iterative = false;
     int referrals = 0;
+    /// Identifies this lookup to its reaper: the qid alone may already
+    /// belong to a later lookup when the reaper fires.
+    std::uint64_t token = 0;
   };
 
   struct HttpJob {
@@ -101,6 +104,7 @@ class ProberHost : public sim::DatagramHandler {
   net::Ipv4Addr addr_;
   std::unique_ptr<sim::TcpStack> tcp_;
   FlatMap<std::uint16_t, PendingLookup> lookups_;  // by DNS query id
+  std::uint64_t next_lookup_token_ = 1;
   std::vector<net::Ipv4Addr> roots_;
   double direct_probability_ = 0.0;
   FlatMap<sim::ConnKey, HttpJob> jobs_;

@@ -621,4 +621,14 @@ ShadowDeployment deploy_standard_exhibitors(core::Testbed& bed, const ShadowConf
   return out;
 }
 
+std::function<std::shared_ptr<void>(core::Testbed&)> standard_exhibitors(
+    ShadowConfig config, const ShadowDeployment** frozen) {
+  return [config, frozen](core::Testbed& bed) -> std::shared_ptr<void> {
+    auto deployment =
+        std::make_shared<ShadowDeployment>(deploy_standard_exhibitors(bed, config));
+    if (frozen != nullptr && bed.frozen()) *frozen = deployment.get();
+    return deployment;
+  };
+}
+
 }  // namespace shadowprobe::shadow

@@ -27,6 +27,7 @@
 // 45-72% of HTTP(S) origins and 5.2% of DNS origins listed).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -86,5 +87,15 @@ struct ShadowDeployment {
 };
 
 ShadowDeployment deploy_standard_exhibitors(core::Testbed& bed, const ShadowConfig& config);
+
+/// The standard deployment as a CampaignEngine decorator: installs it on
+/// every testbed the engine builds and hands the engine its ownership.
+/// `frozen`, when given, receives the deployment installed on a frozen
+/// testbed. With one in-process shard that is the testbed the campaign runs
+/// on; the World prototype's copy carries no traffic and is discarded. The
+/// pointer stays valid while the engine lives. Pass `frozen` to one-shard
+/// engines only: N shards build N frozen testbeds concurrently.
+std::function<std::shared_ptr<void>(core::Testbed&)> standard_exhibitors(
+    ShadowConfig config = {}, const ShadowDeployment** frozen = nullptr);
 
 }  // namespace shadowprobe::shadow

@@ -6,7 +6,7 @@
 #include <memory>
 
 #include "core/analysis.h"
-#include "core/campaign.h"
+#include "core/campaign_engine.h"
 #include "core/json_export.h"
 #include "core/testbed.h"
 #include "shadow/profiles.h"
@@ -36,32 +36,29 @@ CampaignConfig fast_campaign() {
 class AnalysisParallelTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    bed_ = Testbed::create(small_config()).release();
     shadow::ShadowConfig shadow_config;
     shadow_config.fleet_size = 2;
-    deployment_ = new shadow::ShadowDeployment(
-        shadow::deploy_standard_exhibitors(*bed_, shadow_config));
-    Campaign campaign(*bed_, fast_campaign());
-    campaign.run();
-    result_ = new CampaignResult(campaign.result());
+    engine_ = new CampaignEngine(small_config(), fast_campaign(), 1,
+                                 shadow::standard_exhibitors(shadow_config));
+    bed_ = &engine_->primary();
+    result_ = new CampaignResult(engine_->run());
   }
 
   static void TearDownTestSuite() {
     delete result_;
     result_ = nullptr;
-    delete deployment_;
-    deployment_ = nullptr;
-    delete bed_;
     bed_ = nullptr;
+    delete engine_;
+    engine_ = nullptr;
   }
 
-  static Testbed* bed_;
-  static shadow::ShadowDeployment* deployment_;
+  static CampaignEngine* engine_;
+  static Testbed* bed_;  ///< the engine's testbed
   static CampaignResult* result_;
 };
 
+CampaignEngine* AnalysisParallelTest::engine_ = nullptr;
 Testbed* AnalysisParallelTest::bed_ = nullptr;
-shadow::ShadowDeployment* AnalysisParallelTest::deployment_ = nullptr;
 CampaignResult* AnalysisParallelTest::result_ = nullptr;
 
 TEST_F(AnalysisParallelTest, CampaignProducesWork) {

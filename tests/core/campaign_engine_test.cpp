@@ -87,9 +87,8 @@ TEST(CampaignEngineTest, MergedLedgerMatchesSerialPathTable) {
   std::size_t vps = result.active_vps.size();
   std::size_t dns_targets = bed.topology().dns_target_hosts().size();
   std::size_t sites = bed.topology().web_sites().size();
-  // Same invariant the serial campaign upholds: one DNS path per (VP, DNS
-  // target), one HTTP and one TLS path per (VP, site) — no duplicates from
-  // the per-shard replicas.
+  // One DNS path per (VP, DNS target), one HTTP and one TLS path per
+  // (VP, site) — no duplicates from the per-shard replicas.
   EXPECT_EQ(result.ledger.paths().size(), vps * (dns_targets + 2 * sites));
   std::size_t phase1 = 0;
   for (const auto& decoy : result.ledger.decoys()) {

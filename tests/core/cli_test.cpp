@@ -20,7 +20,7 @@ TEST(CliTest, DefaultsMatchTheHistoricalBehaviour) {
   EXPECT_DOUBLE_EQ(options.scale, 1.0);
   EXPECT_EQ(options.seed, 20240301u);
   EXPECT_EQ(options.days, 25);
-  EXPECT_EQ(options.shards, 0);  // serial Campaign
+  EXPECT_EQ(options.shards, 1);  // single-shard engine
   EXPECT_EQ(options.analysis_workers, 1);
   EXPECT_TRUE(options.screening);
   EXPECT_FALSE(options.ech);
@@ -157,8 +157,8 @@ TEST(CliTest, ShardProcsClampedToShardCount) {
   ASSERT_TRUE(fromenv.ok());
   EXPECT_EQ(fromenv.value().shard_procs, 3);
 
-  // Workers without an explicit shard count imply a single-shard engine —
-  // and therefore a single worker.
+  // Workers without an explicit shard count run the default single-shard
+  // engine, and therefore a single worker.
   auto implied = parse({"--shard-procs", "4"});
   ASSERT_TRUE(implied.ok());
   EXPECT_EQ(implied.value().shards, 1);
@@ -171,8 +171,7 @@ TEST(CliTest, ShardProcsClampedToShardCount) {
 }
 
 TEST(CliTest, FaultProfileImpliesTheEngine) {
-  // The serial Campaign has no fault layer; an unsharded faulty invocation
-  // silently runs a single-shard engine instead.
+  // An unsharded faulty invocation runs the default single-shard engine.
   auto parsed = parse({"--fault-profile", "loss=0.05"});
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().shards, 1);

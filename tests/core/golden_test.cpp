@@ -49,15 +49,9 @@ CampaignConfig pinned_campaign() {
   return config;
 }
 
-CampaignEngine::Decorator exhibitors() {
-  return [](Testbed& replica) -> std::shared_ptr<void> {
-    return std::make_shared<shadow::ShadowDeployment>(
-        shadow::deploy_standard_exhibitors(replica, shadow::ShadowConfig{}));
-  };
-}
-
 std::string run_pinned(int shards) {
-  CampaignEngine engine(pinned_config(), pinned_campaign(), shards, exhibitors());
+  CampaignEngine engine(pinned_config(), pinned_campaign(), shards,
+                        shadow::standard_exhibitors());
   CampaignResult result = engine.run();
   return export_campaign_json(engine.primary(), result, /*analysis_workers=*/1);
 }
@@ -99,8 +93,10 @@ TEST(GoldenCampaign, ShardedRunReproducesGoldenBytes) {
   std::string golden = read_file(golden_path());
   ASSERT_FALSE(golden.empty()) << "missing golden file " << golden_path()
                                << " — regenerate with SHADOWPROBE_REGEN_GOLDEN=1";
-  EXPECT_EQ(run_pinned(/*shards=*/2), golden)
-      << "2-shard export differs from the golden bytes";
+  for (int shards : {2, 8}) {
+    EXPECT_EQ(run_pinned(shards), golden)
+        << shards << "-shard export differs from the golden bytes";
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/campaign_engine.h"
 #include "shadow/profiles.h"
 
 namespace shadowprobe::core {
@@ -58,18 +59,17 @@ TEST(ExportCampaignJson, ProducesParseableStructure) {
   config.topology.global_vps = 6;
   config.topology.cn_vps = 6;
   config.topology.web_sites = 4;
-  auto bed = Testbed::create(config);
-  shadow::ShadowConfig shadow_config;
-  shadow_config.fleet_size = 2;
-  auto deployment = shadow::deploy_standard_exhibitors(*bed, shadow_config);
   CampaignConfig campaign_config;
   campaign_config.phase1_window = 2 * kHour;
   campaign_config.phase2_grace = 6 * kHour;
   campaign_config.total_duration = 5 * kDay;
-  Campaign campaign(*bed, campaign_config);
-  campaign.run();
+  shadow::ShadowConfig shadow_config;
+  shadow_config.fleet_size = 2;
+  CampaignEngine engine(config, campaign_config, 1,
+                        shadow::standard_exhibitors(shadow_config));
+  CampaignResult result = engine.run();
 
-  std::string json = export_campaign_json(*bed, campaign);
+  std::string json = export_campaign_json(engine.primary(), result);
   // Structural sanity: balanced braces/brackets outside strings, and the
   // sections analysts rely on are present.
   int depth = 0;

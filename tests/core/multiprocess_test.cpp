@@ -250,8 +250,10 @@ TEST(Supervision, BabblingWorkerRecoversViaDegradation) {
 // complete with JSON byte-identical to the clean in-process run, report the
 // recovery in its counters, reap every child, and leak no descriptors.
 
+// std::string rather than const char*, so the parameter gtest prints into
+// the discovered test name carries no per-run pointer address.
 class RecoveryMatrix
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
 TEST_P(RecoveryMatrix, ByteIdenticalAfterWorkerLoss) {
   if (!worker_bin_available()) GTEST_SKIP() << "worker binary not built";
@@ -260,7 +262,7 @@ TEST_P(RecoveryMatrix, ByteIdenticalAfterWorkerLoss) {
   std::string clean = run_and_export(4, 0, campaign);
   ASSERT_FALSE(clean.empty());
   const int fds_before = open_fd_count();
-  ScopedFault fault(std::string(phase) + ":" + kind + ":1");
+  ScopedFault fault(phase + ":" + kind + ":1");
   EngineRun run = run_engine(4, 4, campaign, worker_bin(), fast_supervision());
   EXPECT_EQ(clean, run.json) << "recovered run diverged for " << phase << ":" << kind;
   // Generation 0 faults, generation 1 recovers: exactly one loss, one

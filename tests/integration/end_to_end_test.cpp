@@ -6,69 +6,72 @@
 #include <gtest/gtest.h>
 
 #include "core/analysis.h"
-#include "core/campaign.h"
+#include "core/campaign_engine.h"
 #include "core/portscan.h"
 #include "shadow/profiles.h"
 
 namespace shadowprobe {
 namespace {
 
+core::TestbedConfig e2e_config() {
+  core::TestbedConfig config;
+  config.topology.seed = 424242;
+  config.topology.global_vps = 40;
+  config.topology.cn_vps = 40;
+  config.topology.web_sites = 16;
+  return config;
+}
+
 class EndToEnd : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    core::TestbedConfig config;
-    config.topology.seed = 424242;
-    config.topology.global_vps = 40;
-    config.topology.cn_vps = 40;
-    config.topology.web_sites = 16;
-    bed_ = core::Testbed::create(config).release();
-    shadow::ShadowConfig shadow_config;
-    deployment_ = new shadow::ShadowDeployment(
-        shadow::deploy_standard_exhibitors(*bed_, shadow_config));
     core::CampaignConfig campaign_config;
     campaign_config.total_duration = 25 * kDay;
-    campaign_ = new core::Campaign(*bed_, campaign_config);
-    campaign_->run();
+    engine_ = new core::CampaignEngine(e2e_config(), campaign_config, 1,
+                                       shadow::standard_exhibitors({}, &deployment_));
+    campaign_ = new core::CampaignResult(engine_->run());
   }
 
   static void TearDownTestSuite() {
     delete campaign_;
     campaign_ = nullptr;
-    delete deployment_;
+    delete engine_;  // owns *deployment_
+    engine_ = nullptr;
     deployment_ = nullptr;
-    delete bed_;
-    bed_ = nullptr;
   }
 
-  static core::Testbed* bed_;
-  static shadow::ShadowDeployment* deployment_;
-  static core::Campaign* campaign_;
+  /// The testbed the campaign ran on (geo database, blocklist, signatures).
+  static core::Testbed& bed() { return engine_->primary(); }
+
+  static core::CampaignEngine* engine_;
+  static const shadow::ShadowDeployment* deployment_;
+  static core::CampaignResult* campaign_;
 };
 
-core::Testbed* EndToEnd::bed_ = nullptr;
-shadow::ShadowDeployment* EndToEnd::deployment_ = nullptr;
-core::Campaign* EndToEnd::campaign_ = nullptr;
+core::CampaignEngine* EndToEnd::engine_ = nullptr;
+const shadow::ShadowDeployment* EndToEnd::deployment_ = nullptr;
+core::CampaignResult* EndToEnd::campaign_ = nullptr;
 
 TEST_F(EndToEnd, ScreeningRemovesDefectiveProviders) {
-  const auto& screening = campaign_->screening();
+  const auto& screening = campaign_->screening;
   EXPECT_EQ(screening.candidates, 80);
   EXPECT_GT(screening.usable, 60);
   EXPECT_LT(screening.usable, screening.candidates);
   // Every active VP honours requested TTLs and sits behind clean paths.
-  for (const auto* vp : campaign_->active_vps()) {
+  for (const auto* vp : campaign_->active_vps) {
     EXPECT_FALSE(vp->resets_ttl) << vp->id;
     EXPECT_FALSE(vp->residential) << vp->id;
   }
 }
 
 TEST_F(EndToEnd, CampaignProducesUnsolicitedRequests) {
-  EXPECT_GT(campaign_->ledger().decoy_count(), 1000u);
-  EXPECT_GT(campaign_->unsolicited().size(), 100u);
-  EXPECT_GT(bed_->logbook().size(), campaign_->unsolicited().size());
+  EXPECT_GT(campaign_->ledger.decoy_count(), 1000u);
+  EXPECT_GT(campaign_->unsolicited.size(), 100u);
+  EXPECT_GT(campaign_->hits.size(), campaign_->unsolicited.size());
 }
 
 TEST_F(EndToEnd, ResolverHMatchesGroundTruth) {
-  auto ratios = core::path_ratios(campaign_->ledger(), campaign_->unsolicited());
+  auto ratios = core::path_ratios(campaign_->ledger, campaign_->unsolicited);
   auto top = core::top_shadowed_resolvers(ratios, 5);
   std::set<std::string> recovered(top.begin(), top.end());
   // The pipeline must rediscover the deployed destination-side shadowers.
@@ -78,7 +81,7 @@ TEST_F(EndToEnd, ResolverHMatchesGroundTruth) {
 }
 
 TEST_F(EndToEnd, UnshadowedDestinationsStayQuiet) {
-  auto ratios = core::path_ratios(campaign_->ledger(), campaign_->unsolicited());
+  auto ratios = core::path_ratios(campaign_->ledger, campaign_->unsolicited);
   // Roots, TLDs and the self-built control resolver have (next to) no
   // shadowing — the only residue allowed is the thin on-wire DNS observer
   // tail (Table 3's sub-percent DNS rows).
@@ -98,7 +101,7 @@ TEST_F(EndToEnd, UnshadowedDestinationsStayQuiet) {
 TEST_F(EndToEnd, Cn114DnsAsymmetryRecovered) {
   // Case study II: 114DNS shadowing is exhibited by its CN anycast
   // instances only; CN VPs see high ratios, global VPs see (almost) none.
-  auto ratios = core::path_ratios(campaign_->ledger(), campaign_->unsolicited());
+  auto ratios = core::path_ratios(campaign_->ledger, campaign_->unsolicited);
   auto cn = ratios.group(core::DecoyProtocol::kDns, "114DNS", /*cn_platform=*/true);
   auto global = ratios.group(core::DecoyProtocol::kDns, "114DNS", /*cn_platform=*/false);
   ASSERT_GT(cn.paths, 0);
@@ -111,14 +114,14 @@ TEST_F(EndToEnd, Cn114DnsAsymmetryRecovered) {
 }
 
 TEST_F(EndToEnd, DnsObserversLocateAtDestination) {
-  auto locations = core::observer_locations(campaign_->findings());
+  auto locations = core::observer_locations(campaign_->findings);
   ASSERT_GT(locations.located_paths[core::DecoyProtocol::kDns], 0);
   // Paper Table 2: 99.7% of DNS observers at normalized hop 10.
   EXPECT_GT(locations.shares[core::DecoyProtocol::kDns][10], 0.95);
 }
 
 TEST_F(EndToEnd, HttpObserversLocateOnTheWire) {
-  auto locations = core::observer_locations(campaign_->findings());
+  auto locations = core::observer_locations(campaign_->findings);
   ASSERT_GT(locations.located_paths[core::DecoyProtocol::kHttp], 0);
   // Paper Table 2: 97.7% of HTTP observers on the wire (hops 1-9).
   EXPECT_LT(locations.shares[core::DecoyProtocol::kHttp][10], 0.3);
@@ -127,7 +130,7 @@ TEST_F(EndToEnd, HttpObserversLocateOnTheWire) {
 TEST_F(EndToEnd, IcmpRevealedObserverAddressesMatchDeployedTaps) {
   int matched = 0;
   int total = 0;
-  for (const auto& finding : campaign_->findings()) {
+  for (const auto& finding : campaign_->findings) {
     if (!finding.observer_addr) continue;
     ++total;
     if (deployment_->all_wire_observer_addrs().count(*finding.observer_addr) > 0) {
@@ -142,7 +145,7 @@ TEST_F(EndToEnd, IcmpRevealedObserverAddressesMatchDeployedTaps) {
 }
 
 TEST_F(EndToEnd, ObserverAsesIncludeChinanet) {
-  auto table = core::observer_ases(campaign_->findings(), bed_->topology().geo());
+  auto table = core::observer_ases(campaign_->findings, bed().topology().geo());
   ASSERT_FALSE(table.rows[core::DecoyProtocol::kHttp].empty());
   bool found_4134 = false;
   for (const auto& row : table.rows[core::DecoyProtocol::kHttp]) {
@@ -154,9 +157,9 @@ TEST_F(EndToEnd, ObserverAsesIncludeChinanet) {
 }
 
 TEST_F(EndToEnd, TemporalShapesMatchThePaper) {
-  auto ratios = core::path_ratios(campaign_->ledger(), campaign_->unsolicited());
+  auto ratios = core::path_ratios(campaign_->ledger, campaign_->unsolicited);
   auto resolver_h = core::top_shadowed_resolvers(ratios, 5);
-  auto cdfs = core::interval_cdf_by_resolver(campaign_->ledger(), campaign_->unsolicited(),
+  auto cdfs = core::interval_cdf_by_resolver(campaign_->ledger, campaign_->unsolicited,
                                              resolver_h);
   ASSERT_TRUE(cdfs.count("Yandex"));
   const Cdf& yandex = cdfs.at("Yandex");
@@ -168,7 +171,7 @@ TEST_F(EndToEnd, TemporalShapesMatchThePaper) {
 }
 
 TEST_F(EndToEnd, HttpTlsRetentionShorterThanDns) {
-  auto by_protocol = core::interval_cdf_by_protocol(campaign_->unsolicited());
+  auto by_protocol = core::interval_cdf_by_protocol(campaign_->unsolicited);
   ASSERT_TRUE(by_protocol.count(core::DecoyProtocol::kHttp));
   // Figure 7: most HTTP-decoy requests arrive within a day.
   EXPECT_GT(by_protocol.at(core::DecoyProtocol::kHttp).at(to_seconds(kDay)), 0.6);
@@ -176,7 +179,7 @@ TEST_F(EndToEnd, HttpTlsRetentionShorterThanDns) {
 
 TEST_F(EndToEnd, ProtocolConversionObserved) {
   // Figure 5: a large share of Yandex DNS decoys leads to HTTP(S) probes.
-  auto combos = core::protocol_combos(campaign_->ledger(), campaign_->unsolicited());
+  auto combos = core::protocol_combos(campaign_->ledger, campaign_->unsolicited);
   ASSERT_TRUE(combos.shares.count("Yandex"));
   double web = combos.shares["Yandex"][core::DecoyOutcome::kWebWithinDay] +
                combos.shares["Yandex"][core::DecoyOutcome::kWebAfterDays];
@@ -189,10 +192,10 @@ TEST_F(EndToEnd, ProtocolConversionObserved) {
 }
 
 TEST_F(EndToEnd, OriginAnalysisFindsGoogleAndBlocklistHits) {
-  auto ratios = core::path_ratios(campaign_->ledger(), campaign_->unsolicited());
+  auto ratios = core::path_ratios(campaign_->ledger, campaign_->unsolicited);
   auto resolver_h = core::top_shadowed_resolvers(ratios, 5);
-  auto origins = core::origin_ases(campaign_->ledger(), campaign_->unsolicited(),
-                                   resolver_h, bed_->topology().geo(), bed_->blocklist());
+  auto origins = core::origin_ases(campaign_->ledger, campaign_->unsolicited,
+                                   resolver_h, bed().topology().geo(), bed().blocklist());
   // Exhibitor fleets prefer Google Public DNS for their lookups, so Google
   // is a heavy origin of unsolicited DNS queries (Figure 6).
   std::uint64_t google = 0;
@@ -203,17 +206,17 @@ TEST_F(EndToEnd, OriginAnalysisFindsGoogleAndBlocklistHits) {
   EXPECT_GT(origins.distinct_dns_origins, 5);
   // DNS-query origins are far less blocklisted than the web-probing proxies
   // (paper: 5.2% vs 45-72%).
-  auto incentives = core::incentive_stats(campaign_->unsolicited(), bed_->signatures(),
-                                          bed_->blocklist());
+  auto incentives = core::incentive_stats(campaign_->unsolicited, bed().signatures(),
+                                          bed().blocklist());
   EXPECT_LT(origins.dns_origin_blocklisted,
             incentives.dns_decoy_http_origin_blocklisted);
   EXPECT_LT(origins.dns_origin_blocklisted, 0.5);
 }
 
 TEST_F(EndToEnd, MultiUseRetentionObserved) {
-  auto ratios = core::path_ratios(campaign_->ledger(), campaign_->unsolicited());
+  auto ratios = core::path_ratios(campaign_->ledger, campaign_->unsolicited);
   auto resolver_h = core::top_shadowed_resolvers(ratios, 5);
-  auto stats = core::retention_stats(campaign_->ledger(), campaign_->unsolicited(),
+  auto stats = core::retention_stats(campaign_->ledger, campaign_->unsolicited,
                                      resolver_h, "Yandex");
   ASSERT_GT(stats.considered_decoys, 0);
   // Section 5.1 shapes: a large share of decoys keeps producing requests
@@ -223,8 +226,8 @@ TEST_F(EndToEnd, MultiUseRetentionObserved) {
 }
 
 TEST_F(EndToEnd, PayloadsAreReconnaissanceNotExploits) {
-  auto stats = core::incentive_stats(campaign_->unsolicited(), bed_->signatures(),
-                                     bed_->blocklist());
+  auto stats = core::incentive_stats(campaign_->unsolicited, bed().signatures(),
+                                     bed().blocklist());
   ASSERT_GT(stats.http_requests, 0);
   EXPECT_FALSE(stats.exploits_found);
   EXPECT_GT(stats.payload_shares[intel::PayloadClass::kPathEnumeration], 0.5);
@@ -235,16 +238,21 @@ TEST_F(EndToEnd, PayloadsAreReconnaissanceNotExploits) {
 TEST_F(EndToEnd, PortScanFindsBgpAmongObservers) {
   // Scan the ICMP-revealed observer addresses, as Section 5.2 does.
   std::set<net::Ipv4Addr> observers;
-  for (const auto& finding : campaign_->findings()) {
+  for (const auto& finding : campaign_->findings) {
     if (finding.observer_addr) observers.insert(*finding.observer_addr);
   }
   ASSERT_FALSE(observers.empty());
-  core::PortScanner scanner(bed_->fork_rng("portscan-test"));
-  sim::NodeId node = bed_->add_host_in_as(21859, "scanner-e2e", &scanner);
-  scanner.bind(bed_->net(), node, bed_->net().address(node));
+  // The engine's testbed is frozen and admits no new hosts; scan from a
+  // fresh testbed of the same config, whose deployment places the routers'
+  // open ports from the same seed.
+  auto bed = core::Testbed::create(e2e_config());
+  auto deployment = shadow::deploy_standard_exhibitors(*bed, shadow::ShadowConfig{});
+  core::PortScanner scanner(bed->fork_rng("portscan-test"));
+  sim::NodeId node = bed->add_host_in_as(21859, "scanner-e2e", &scanner);
+  scanner.bind(bed->net(), node, bed->net().address(node));
   scanner.scan(std::vector<net::Ipv4Addr>(observers.begin(), observers.end()),
                core::PortScanner::default_ports());
-  bed_->loop().run_until(bed_->loop().now() + kMinute);
+  bed->loop().run_until(bed->loop().now() + kMinute);
   auto summary = scanner.summarize();
   EXPECT_EQ(summary.targets, static_cast<int>(observers.size()));
   // Most observers expose nothing; where something is open, BGP leads.
@@ -263,18 +271,17 @@ TEST_F(EndToEnd, DeterministicAcrossRuns) {
     config.topology.global_vps = 6;
     config.topology.cn_vps = 6;
     config.topology.web_sites = 4;
-    auto bed = core::Testbed::create(config);
     shadow::ShadowConfig shadow_config;
     shadow_config.fleet_size = 2;
-    auto deployment = shadow::deploy_standard_exhibitors(*bed, shadow_config);
     core::CampaignConfig campaign_config;
     campaign_config.phase1_window = 2 * kHour;
     campaign_config.phase2_grace = 6 * kHour;
     campaign_config.total_duration = 5 * kDay;
-    core::Campaign campaign(*bed, campaign_config);
-    campaign.run();
-    return std::make_tuple(campaign.ledger().decoy_count(), bed->logbook().size(),
-                           campaign.unsolicited().size(), campaign.findings().size());
+    core::CampaignEngine engine(config, campaign_config, 1,
+                                shadow::standard_exhibitors(shadow_config));
+    core::CampaignResult campaign = engine.run();
+    return std::make_tuple(campaign.ledger.decoy_count(), campaign.hits.size(),
+                           campaign.unsolicited.size(), campaign.findings.size());
   };
   EXPECT_EQ(run_once(), run_once());
 }

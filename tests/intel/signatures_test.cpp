@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace shadowprobe::intel {
 namespace {
 
+// Parameters hold std::string, not const char*: gtest prints a char pointer
+// with its address, which would put an ASLR-dependent value into the test
+// names that gtest_discover_tests registers.
 class PayloadClassification
-    : public ::testing::TestWithParam<std::pair<const char*, PayloadClass>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, PayloadClass>> {};
 
 TEST_P(PayloadClassification, ClassifiesTarget) {
   SignatureDb db = SignatureDb::standard();

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/testbed.h"
 
 namespace shadowprobe::shadow {
@@ -99,6 +101,53 @@ TEST_F(ProberTest, ProbesCounted) {
   prober->probe_https(domain, net::Ipv4Addr(8, 8, 8, 8));
   bed->loop().run_until(kMinute);
   EXPECT_GE(prober->probes_sent(), 3u);  // 2 lookups + 1 ClientHello
+}
+
+TEST_F(ProberTest, ReusedQidSurvivesTheEarlierLookupsReaper) {
+  // Each lookup's qid is the next draw of the prober's fork("qid") stream,
+  // skipping qids still pending. Replay that stream to find its first
+  // repeat: lookup `late` draws the qid lookup `early` used.
+  const std::uint64_t seed = 20240301;
+  Rng qids = Rng(seed).fork("qid");
+  std::map<std::uint16_t, std::size_t> first_use;
+  std::size_t early = 0;
+  std::size_t late = 0;
+  for (std::size_t i = 0;; ++i) {
+    auto qid = static_cast<std::uint16_t>(qids.bits());
+    auto [it, fresh] = first_use.emplace(qid, i);
+    if (!fresh) {
+      early = it->second;
+      late = i;
+      break;
+    }
+  }
+
+  ProberHost reuser("reuser", Rng(seed), bed->signatures());
+  sim::NodeId node = bed->add_host_in_as(16509, "reuser", &reuser);
+  reuser.bind(bed->net(), node, bed->net().address(node));
+  const net::Ipv4Addr google(8, 8, 8, 8);
+  auto domain = [](std::uint32_t seq) {
+    core::DecoyId id;
+    id.vp = net::Ipv4Addr(30, 0, 0, 1);
+    id.dst = net::Ipv4Addr(8, 8, 8, 8);
+    id.seq = seq;
+    return core::decoy_domain(id);
+  };
+  // Lookups [0, early] at t=0, all answered well before their 30 s reapers;
+  // the answers free their qids.
+  for (std::size_t i = 0; i <= early; ++i) reuser.probe_dns(domain(100), google);
+  const SimTime reap = 30 * kSecond;
+  bed->loop().run_until(reap - kMillisecond);
+  ASSERT_EQ(hits_of(core::RequestProtocol::kHttp), 0u);
+  // Lookups (early, late) keep their own qids; lookup `late` reuses early's
+  // qid one millisecond before early's reaper fires, and its answer comes
+  // back after it.
+  for (std::size_t i = early + 1; i < late; ++i) reuser.probe_dns(domain(100), google);
+  reuser.probe_http(domain(200), google, 1);
+  bed->loop().run_until(reap + kMinute);
+  EXPECT_EQ(hits_of(core::RequestProtocol::kHttp), 1u)
+      << "the HTTP probe behind reused qid (lookups " << early << " and " << late
+      << ") lost its answer";
 }
 
 }  // namespace

@@ -10,14 +10,13 @@
 //     --scale X            platform scale multiplier (default 1.0)
 //     --seed N             master seed (default 20240301)
 //     --days N             capture horizon in simulated days (default 25)
-//     --shards N           run the sharded engine with N VP partitions
-//                          (default: SHADOWPROBE_SHARDS env var, else serial);
+//     --shards N           run the campaign engine with N VP partitions
+//                          (default: SHADOWPROBE_SHARDS env var, else 1);
 //                          results are byte-identical for any N
 //     --shard-procs P      distribute the shards over P worker processes
 //                          (default: SHADOWPROBE_SHARD_PROCS env var, else
-//                          in-process threads); implies the engine (1 shard
-//                          if unsharded); results are byte-identical to the
-//                          in-process run for any P
+//                          in-process threads); results are byte-identical
+//                          to the in-process run for any P
 //     --worker-retries N   respawn budget per lost worker process before its
 //                          shards degrade to in-process execution (default:
 //                          SHADOWPROBE_WORKER_RETRIES env var, else 2);
@@ -29,15 +28,15 @@
 //     --fault-profile S    deterministic fault-injection spec, e.g.
 //                          "lossy" or "loss=0.05,hp-outage=US@30h+12h"
 //                          (default: SHADOWPROBE_FAULT_PROFILE env var, else
-//                          none); implies the engine (1 shard if unsharded);
-//                          results are byte-identical for any shard count
+//                          none); results are byte-identical for any shard
+//                          count
 //     --transport T        dns decoy transport: plain | dot | odoh
 //     --ech                send TLS decoys with Encrypted Client Hello
 //     --no-screening       skip the Appendix-E platform screens
 //     --report R           all | fig3 | table2 | table3 | retention (default all)
 //     --json FILE          write the full analysis as JSON
 //     --trace N            print the first N packets crossing the CN gateway
-//                          (with --shards, shard 0's replica)
+//                          (shard 0's instance)
 
 #include <cstdio>
 #include <cstring>
@@ -47,13 +46,11 @@
 #include <vector>
 
 #include "core/analysis.h"
-#include "core/campaign.h"
 #include "core/campaign_engine.h"
 #include "core/cli.h"
 #include "core/json_export.h"
 #include "core/report.h"
 #include "core/shard_worker.h"
-#include "core/testbed.h"
 #include "shadow/profiles.h"
 #include "sim/trace.h"
 
@@ -91,14 +88,7 @@ int main(int argc, char** argv) {
         worker_options.spawn_gen = std::atoi(argv[i + 1]);
       }
     }
-    shadow::ShadowConfig shadow_config;
-    return core::run_shard_worker(
-        0, 1,
-        [shadow_config](core::Testbed& replica) -> std::shared_ptr<void> {
-          return std::make_shared<shadow::ShadowDeployment>(
-              shadow::deploy_standard_exhibitors(replica, shadow_config));
-        },
-        worker_options);
+    return core::run_shard_worker(0, 1, shadow::standard_exhibitors(), worker_options);
   }
   if (argc < 2 || std::strcmp(argv[1], "run") != 0) return usage();
   std::vector<std::string> args(argv + 2, argv + argc);
@@ -121,51 +111,28 @@ int main(int argc, char** argv) {
   campaign_config.analysis_workers = options.analysis_workers;
   campaign_config.faults = options.faults;
 
-  shadow::ShadowConfig shadow_config;
-  sim::TraceRecorder trace;
+  sim::TraceRecorder trace;  // outlives the engine whose network it taps
 
-  std::unique_ptr<core::Testbed> bed;             // serial-path substrate
-  std::unique_ptr<core::CampaignEngine> engine;   // sharded-path substrate
-  shadow::ShadowDeployment deployment;            // serial-path ground truth
-  core::CampaignResult result;
-  core::Testbed* context = nullptr;  // substrate the reports/export read from
-
-  if (options.shards > 0) {
-    // worker_exe left empty: the backend re-execs this binary via
-    // /proc/self/exe (argv[0] may be PATH-relative).
-    core::EngineExec exec;
-    exec.shard_procs = options.shard_procs;
-    exec.scheduler = options.scheduler;
-    exec.supervision.worker_retries = options.worker_retries;
-    exec.supervision.heartbeat_ms = options.worker_heartbeat_ms;
-    exec.supervision.stall_timeout_ms = options.worker_stall_ms;
-    engine = std::make_unique<core::CampaignEngine>(
-        config, campaign_config, options.shards,
-        [shadow_config](core::Testbed& replica) -> std::shared_ptr<void> {
-          return std::make_shared<shadow::ShadowDeployment>(
-              shadow::deploy_standard_exhibitors(replica, shadow_config));
-        },
-        exec);
-    context = &engine->primary();
-    if (options.trace > 0) {
-      context->net().add_tap(context->topology().national_gateway("CN"), &trace);
-    }
-    result = engine->run();
-  } else {
-    bed = core::Testbed::create(config);
-    deployment = shadow::deploy_standard_exhibitors(*bed, shadow_config);
-    context = bed.get();
-    if (options.trace > 0) {
-      bed->net().add_tap(bed->topology().national_gateway("CN"), &trace);
-    }
-    core::Campaign campaign(*bed, campaign_config);
-    campaign.run();
-    result = campaign.result();
+  // worker_exe left empty: the backend re-execs this binary via
+  // /proc/self/exe (argv[0] may be PATH-relative).
+  core::EngineExec exec;
+  exec.shard_procs = options.shard_procs;
+  exec.scheduler = options.scheduler;
+  exec.supervision.worker_retries = options.worker_retries;
+  exec.supervision.heartbeat_ms = options.worker_heartbeat_ms;
+  exec.supervision.stall_timeout_ms = options.worker_stall_ms;
+  core::CampaignEngine engine(config, campaign_config, options.shards,
+                              shadow::standard_exhibitors(), exec);
+  // The substrate the reports and the export read from.
+  core::Testbed& context = engine.primary();
+  if (options.trace > 0) {
+    context.net().add_tap(context.topology().national_gateway("CN"), &trace);
   }
+  core::CampaignResult result = engine.run();
 
   // Every table the printers and the JSON export need, computed once.
   core::CampaignAnalysis analysis =
-      core::analyze_campaign(*context, result, options.analysis_workers);
+      core::analyze_campaign(context, result, options.analysis_workers);
 
   core::print_reports(options.report, result, analysis);
 
@@ -180,7 +147,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", options.json_path.c_str());
       return 1;
     }
-    out << core::export_campaign_json(*context, result, analysis);
+    out << core::export_campaign_json(context, result, analysis);
     std::printf("wrote %s\n", options.json_path.c_str());
   }
   return 0;
